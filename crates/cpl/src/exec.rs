@@ -925,6 +925,31 @@ fn eval_keys(keys: &[&Expr], row: &Row, ctx: &mut EvalCtx<'_>) -> Result<Option<
     Ok(Some(values))
 }
 
+/// Every left row combined with every right row, in `lex(left, right)`
+/// order, kept where `predicate` (if any) holds: the body of both loop joins.
+fn loop_join(
+    left_rows: &[Row],
+    right_rows: &[Row],
+    predicate: Option<&Expr>,
+    ctx: &mut EvalCtx<'_>,
+) -> Result<Vec<Row>> {
+    let mut rows = Vec::with_capacity(if predicate.is_none() {
+        left_rows.len() * right_rows.len()
+    } else {
+        0
+    });
+    for l in left_rows {
+        for r in right_rows {
+            let mut combined = l.clone();
+            combined.extend(r.clone());
+            if predicate.map_or(Ok(true), |p| eval_predicate(p, &combined, ctx))? {
+                rows.push(combined);
+            }
+        }
+    }
+    Ok(rows)
+}
+
 /// Run a plan against the context, returning its rows.
 pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Result<Vec<Row>> {
     // Scan→filter→project towers over a single source run batch-at-a-time on
@@ -1092,88 +1117,25 @@ pub fn run_plan(plan: &Plan, ctx: &mut EvalCtx<'_>, stats: &mut ExecStats) -> Re
                 }
             }
         }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => {
+        Plan::NestedLoopJoin { left, right, .. } | Plan::CrossJoin { left, right } => {
+            let (kind, predicate) = match plan {
+                Plan::NestedLoopJoin { predicate, .. } => ("NestedLoopJoin", predicate.as_ref()),
+                _ => ("CrossJoin", None),
+            };
             let left_rows = run_plan(left, ctx, stats)?;
             let right_rows = run_plan(right, ctx, stats)?;
-            let rows = match parallel_workers(ctx, left_rows.len(), false, predicate.iter()) {
+            let rows = match parallel_workers(ctx, left_rows.len(), false, predicate) {
                 Some(workers) => {
                     let (left_rows, right_rows) = (&left_rows, &right_rows);
                     run_chunked(ctx, stats, left_rows.len(), workers, |range, wctx, ws| {
-                        let mut out = Vec::new();
-                        for l in &left_rows[range] {
-                            for r in right_rows {
-                                let mut combined = l.clone();
-                                combined.extend(r.clone());
-                                let keep = match predicate {
-                                    Some(p) => eval_predicate(p, &combined, wctx)?,
-                                    None => true,
-                                };
-                                if keep {
-                                    out.push(combined);
-                                }
-                            }
-                        }
+                        let out = loop_join(&left_rows[range], right_rows, predicate, wctx)?;
                         ws.rows_produced += out.len();
                         Ok(out)
                     })?
                 }
-                None => {
-                    let mut rows = Vec::new();
-                    for l in &left_rows {
-                        for r in &right_rows {
-                            let mut combined = l.clone();
-                            combined.extend(r.clone());
-                            let keep = match predicate {
-                                Some(p) => eval_predicate(p, &combined, ctx)?,
-                                None => true,
-                            };
-                            if keep {
-                                rows.push(combined);
-                            }
-                        }
-                    }
-                    rows
-                }
+                None => loop_join(&left_rows, &right_rows, predicate, ctx)?,
             };
-            ctx.record_join("NestedLoopJoin", rows.len());
-            rows
-        }
-        Plan::CrossJoin { left, right } => {
-            let left_rows = run_plan(left, ctx, stats)?;
-            let right_rows = run_plan(right, ctx, stats)?;
-            let rows = match parallel_workers(ctx, left_rows.len(), false, std::iter::empty()) {
-                Some(workers) => {
-                    let (left_rows, right_rows) = (&left_rows, &right_rows);
-                    run_chunked(ctx, stats, left_rows.len(), workers, |range, _wctx, ws| {
-                        let mut out = Vec::with_capacity(range.len() * right_rows.len());
-                        for l in &left_rows[range] {
-                            for r in right_rows {
-                                let mut combined = l.clone();
-                                combined.extend(r.clone());
-                                out.push(combined);
-                            }
-                        }
-                        ws.rows_produced += out.len();
-                        Ok(out)
-                    })?
-                }
-                None => {
-                    let mut rows = Vec::with_capacity(left_rows.len() * right_rows.len());
-                    for l in &left_rows {
-                        for r in &right_rows {
-                            let mut combined = l.clone();
-                            combined.extend(r.clone());
-                            rows.push(combined);
-                        }
-                    }
-                    rows
-                }
-            };
-            ctx.record_join("CrossJoin", rows.len());
+            ctx.record_join(kind, rows.len());
             rows
         }
         Plan::HashJoin { left, right, keys } => {

@@ -131,35 +131,13 @@ impl Plan {
         }
     }
 
-    /// The row variables this plan is guaranteed to produce.
-    pub fn produced_vars(&self) -> std::collections::BTreeSet<String> {
-        match self {
-            Plan::Scan { var, .. } => std::collections::BTreeSet::from([var.clone()]),
-            Plan::Filter { input, .. } | Plan::Distinct { input } => input.produced_vars(),
-            Plan::Map { input, bindings } => {
-                let mut vars = input.produced_vars();
-                vars.extend(bindings.iter().map(|(v, _)| v.clone()));
-                vars
-            }
-            Plan::NestedLoopJoin { left, right, .. }
-            | Plan::HashJoin { left, right, .. }
-            | Plan::CrossJoin { left, right } => {
-                let mut vars = left.produced_vars();
-                vars.extend(right.produced_vars());
-                vars
-            }
-        }
-    }
-
-    /// The classes this plan scans — a query's *read set*, used by the
-    /// pipeline's query scheduler to order queries that read an extent after
-    /// queries that write it.
-    pub fn scanned_classes(&self) -> std::collections::BTreeSet<ClassName> {
-        fn go(plan: &Plan, out: &mut std::collections::BTreeSet<ClassName>) {
+    /// Every `(class, var)` the plan scans, in operator order (left before
+    /// right, input before operator) — the one walk behind the read-set,
+    /// scan-variable and scan-count analyses.
+    pub fn scans(&self) -> Vec<(&ClassName, &str)> {
+        fn go<'p>(plan: &'p Plan, out: &mut Vec<(&'p ClassName, &'p str)>) {
             match plan {
-                Plan::Scan { class, .. } => {
-                    out.insert(class.clone());
-                }
+                Plan::Scan { class, var } => out.push((class, var)),
                 Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
                     go(input, out)
                 }
@@ -171,9 +149,19 @@ impl Plan {
                 }
             }
         }
-        let mut out = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
         go(self, &mut out);
         out
+    }
+
+    /// The classes this plan scans — a query's *read set*, used by the
+    /// pipeline's query scheduler to order queries that read an extent after
+    /// queries that write it.
+    pub fn scanned_classes(&self) -> std::collections::BTreeSet<ClassName> {
+        self.scans()
+            .into_iter()
+            .map(|(class, _)| class.clone())
+            .collect()
     }
 
     /// Every expression embedded in the plan (filter predicates, map
@@ -307,26 +295,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_and_produced_vars() {
+    fn builders_nest_operators() {
         let plan = Plan::scan("CountryE", "C")
             .map(vec![("N".to_string(), Expr::var("C").proj("name"))])
             .filter(Expr::var("C").proj("name").eq(Expr::Const("France".into())))
             .distinct();
-        let vars = plan.produced_vars();
-        assert!(vars.contains("C"));
-        assert!(vars.contains("N"));
+        assert_eq!(plan.scans(), [(&ClassName::new("CountryE"), "C")]);
         assert_eq!(plan.operator_count(), 4);
     }
 
     #[test]
-    fn join_produced_vars_and_render() {
+    fn scans_walk_operators_left_to_right() {
+        let plan = Plan::scan("A", "a")
+            .join(Plan::scan("B", "b").filter(Expr::var("b")), None)
+            .cross(Plan::scan("A", "c").distinct())
+            .map(vec![("d".to_string(), Expr::var("a"))]);
+        let (a, b) = (ClassName::new("A"), ClassName::new("B"));
+        assert_eq!(plan.scans(), [(&a, "a"), (&b, "b"), (&a, "c")]);
+        assert_eq!(plan.scanned_classes().len(), 2);
+    }
+
+    #[test]
+    fn join_scans_and_render() {
         let plan = Plan::scan("CityE", "E").hash_join(
             Plan::scan("CountryE", "C"),
             Expr::var("E").path("country.name"),
             Expr::var("C").proj("name"),
         );
-        let vars = plan.produced_vars();
-        assert!(vars.contains("E") && vars.contains("C"));
+        let vars: Vec<&str> = plan.scans().into_iter().map(|(_, var)| var).collect();
+        assert_eq!(vars, ["E", "C"]);
         let rendered = plan.render();
         assert!(rendered.contains("HashJoin"));
         assert!(rendered.contains("Scan CityE as E"));
@@ -341,8 +338,7 @@ mod tests {
         let cross = Plan::scan("A", "a").cross(Plan::scan("B", "b"));
         assert!(cross.render().contains("CrossJoin"));
         assert_eq!(cross.operator_count(), 3);
-        let vars = cross.produced_vars();
-        assert!(vars.contains("a") && vars.contains("b"));
+        assert_eq!(cross.scans().len(), 2);
 
         let multi = Plan::scan("A", "a").hash_join_multi(
             Plan::scan("B", "b"),

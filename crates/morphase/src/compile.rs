@@ -9,8 +9,7 @@
 //! atom pool) and hands the result to the CPL join-graph planner
 //! ([`cpl::optimize_with_stats`]), which reorders the scans by estimated
 //! cardinality and selectivity — the role the paper assigns to the Kleisli
-//! optimiser. Which planner runs (none, the legacy rule-based rewriter, or
-//! the statistics-fed planner) is chosen by [`PlanMode`].
+//! optimiser. Whether the planner runs at all is chosen by [`PlanMode`].
 
 use std::collections::BTreeSet;
 
@@ -23,20 +22,13 @@ use crate::error::MorphaseError;
 use crate::Result;
 
 /// How compiled plans are optimised.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub enum PlanMode<'a> {
-    /// Leave the raw left-deep translation untouched (the baseline the
-    /// regression tests measure against).
+    /// Leave the raw left-deep translation untouched (the semantic oracle
+    /// and the baseline the regression tests measure against).
     Raw,
-    /// The legacy rule-based rewriter ([`cpl::optimize_reference`]): filter
-    /// push-down and hash-join upgrade, no join reordering.
-    Reference,
-    /// The cost-based join-graph planner with default statistics (no
-    /// instances at hand).
-    #[default]
-    Planner,
-    /// The cost-based join-graph planner fed by extent/ndv statistics over
-    /// the live source instances.
+    /// The cost-based join-graph planner fed by extent/ndv statistics
+    /// ([`Statistics::empty`] when no instances are at hand).
     PlannerWithStats(&'a Statistics<'a>),
 }
 
@@ -96,35 +88,6 @@ fn translate_atom_predicate(atom: &Atom) -> Result<Expr> {
             ))
         }
     })
-}
-
-/// Compile one normal clause into a CPL query.
-pub fn compile_clause(clause: &NormalClause, mode: PlanMode<'_>) -> Result<Query> {
-    let mut query = translate_clause(clause)?;
-    query.plan = match mode {
-        PlanMode::Raw => query.plan,
-        PlanMode::Reference => cpl::optimize_reference(query.plan),
-        PlanMode::Planner => cpl::optimize(query.plan),
-        PlanMode::PlannerWithStats(stats) => cpl::optimize_with_stats(query.plan, stats),
-    };
-    Ok(query)
-}
-
-/// Compile one normal clause with the statistics-fed planner *and* a
-/// pushdown catalog: single-variable `var.attr cmp const` conjuncts the
-/// catalog allows are diverted to the returned predicate list (for the
-/// backend scan provider serving the class) instead of becoming `Filter`
-/// operators. Join ordering is unaffected — a diverted conjunct is costed
-/// with exactly the selectivity its `Filter` would have had.
-pub fn compile_clause_pushdown(
-    clause: &NormalClause,
-    stats: &Statistics<'_>,
-    catalog: &cpl::PushdownCatalog,
-) -> Result<(Query, Vec<cpl::PushedPredicate>)> {
-    let mut query = translate_clause(clause)?;
-    let (plan, pushed) = cpl::optimize_with_pushdown(query.plan, stats, catalog);
-    query.plan = plan;
-    Ok((query, pushed))
 }
 
 /// Translate one normal clause into its raw (unoptimised) CPL query.
@@ -220,32 +183,29 @@ fn covered(term: &Term, produced: &BTreeSet<String>) -> bool {
     term.var_set().iter().all(|v| produced.contains(v))
 }
 
-/// Compile a whole normal-form program into CPL queries. `optimize_plans`
-/// selects the join-graph planner (without instance statistics); use
-/// [`compile_program_with`] to feed it live statistics or to pick another
-/// [`PlanMode`].
-pub fn compile_program(normal: &NormalProgram, optimize_plans: bool) -> Result<Vec<Query>> {
-    let mode = if optimize_plans {
-        PlanMode::Planner
-    } else {
-        PlanMode::Raw
-    };
-    compile_program_with(normal, mode)
-}
-
 /// Compile a whole normal-form program into CPL queries under the given
 /// planning mode.
 pub fn compile_program_with(normal: &NormalProgram, mode: PlanMode<'_>) -> Result<Vec<Query>> {
+    let plan = |mut query: Query| {
+        if let PlanMode::PlannerWithStats(stats) = mode {
+            query.plan = cpl::optimize_with_stats(query.plan, stats);
+        }
+        query
+    };
     normal
         .clauses
         .iter()
-        .map(|c| compile_clause(c, mode))
+        .map(|c| translate_clause(c).map(plan))
         .collect()
 }
 
 /// Compile a whole normal-form program with the statistics-fed planner and a
 /// pushdown catalog. Returns the queries plus, parallel to them, the
-/// predicates each query's planning diverted to backend scan providers.
+/// single-variable `var.attr cmp const` conjuncts the catalog allows, which
+/// the backend scan providers may evaluate at the source. The plans are
+/// exactly the [`PlanMode::PlannerWithStats`] plans: a diverted conjunct
+/// also stays in its plan as a residual re-check (see
+/// [`cpl::optimize_with_pushdown`]).
 pub fn compile_program_pushdown(
     normal: &NormalProgram,
     stats: &Statistics<'_>,
@@ -254,7 +214,9 @@ pub fn compile_program_pushdown(
     let mut queries = Vec::with_capacity(normal.clauses.len());
     let mut pushed = Vec::with_capacity(normal.clauses.len());
     for clause in &normal.clauses {
-        let (query, predicates) = compile_clause_pushdown(clause, stats, catalog)?;
+        let mut query = translate_clause(clause)?;
+        let (plan, predicates) = cpl::optimize_with_pushdown(query.plan, stats, catalog);
+        query.plan = plan;
         queries.push(query);
         pushed.push(predicates);
     }
@@ -275,7 +237,8 @@ mod tests {
         let w = CitiesWorkload::new();
         let program = w.euro_program();
         let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let queries = compile_program(&normal, true).unwrap();
+        let stats = Statistics::empty();
+        let queries = compile_program_with(&normal, PlanMode::PlannerWithStats(&stats)).unwrap();
         assert_eq!(queries.len(), normal.len());
 
         let source = generate_euro(4, 3, 17);
@@ -306,8 +269,9 @@ mod tests {
         let w = CitiesWorkload::new();
         let program = w.euro_program();
         let normal = normalize(&program, &NormalizeOptions::default()).unwrap();
-        let optimised = compile_program(&normal, true).unwrap();
-        let unoptimised = compile_program(&normal, false).unwrap();
+        let stats = Statistics::empty();
+        let optimised = compile_program_with(&normal, PlanMode::PlannerWithStats(&stats)).unwrap();
+        let unoptimised = compile_program_with(&normal, PlanMode::Raw).unwrap();
         let rendered_opt: String = optimised.iter().map(|q| q.plan.render()).collect();
         let rendered_raw: String = unoptimised.iter().map(|q| q.plan.render()).collect();
         assert!(rendered_opt.contains("HashJoin"));
@@ -395,7 +359,7 @@ mod tests {
             creates: true,
             provenance: vec!["t".to_string()],
         };
-        let err = compile_clause(&clause, PlanMode::Raw).unwrap_err();
+        let err = translate_clause(&clause).unwrap_err();
         assert!(matches!(err, MorphaseError::Compilation(_)));
     }
 }

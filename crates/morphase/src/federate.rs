@@ -49,12 +49,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use cpl::{Expr, Plan};
+use cpl::Expr;
 use storage::provider::{PushOp, Pushdown, PushedFilter, ScanProvider, DEFAULT_CHUNK_ROWS};
 use wol_lang::program::Program;
 use wol_model::{ClassName, Instance};
 
-use crate::pipeline::{compile_stages_ext, execute_pipeline, MorphaseRun, PipelineOptions};
+use crate::pipeline::{compile_stages, enforce, execute_pipeline, MorphaseRun, PipelineOptions};
 use crate::{MorphaseError, Result};
 
 /// Run the federated pipeline: compile against provider statistics, push
@@ -112,12 +112,13 @@ pub(crate) fn transform_federated(
     } else {
         None
     };
-    let (compiled, pushed) =
-        compile_stages_ext(options, program, &[], &external, catalog.as_ref())?;
+    let (compiled, pushed) = compile_stages(options, program, &[], &external, catalog.as_ref())?;
 
     let mut scan_counts: BTreeMap<ClassName, usize> = BTreeMap::new();
     for query in &compiled.queries {
-        count_scans(&query.plan, &mut scan_counts);
+        for (class, _) in query.plan.scans() {
+            *scan_counts.entry(class.clone()).or_default() += 1;
+        }
     }
     let projections = class_projections(&compiled.queries, &owner);
 
@@ -181,16 +182,8 @@ pub(crate) fn transform_federated(
     // Stage 1b ran against no instances at compile time; check the source
     // constraints against the (complete, unprojected) ingest instead.
     if options.check_source_constraints {
-        let constraints: Vec<&wol_lang::Clause> = compiled
-            .augmented
-            .source_constraints()
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect();
-        let refs: Vec<&Instance> = vec![&instance];
-        let dbs = wol_engine::Databases::new(&refs);
-        wol_engine::enforce_constraints(&constraints, &dbs)
-            .map_err(|e| MorphaseError::Verification(e.to_string()))?;
+        let constraints = compiled.augmented.source_constraints();
+        enforce(constraints.into_iter().map(|(_, c)| c), &[&instance])?;
     }
 
     let mut run = execute_pipeline(options, compiled, &[&instance], true, None)?;
@@ -234,22 +227,6 @@ fn eligible_classes(
         .collect()
 }
 
-/// Count `Scan` operators per class across a plan.
-fn count_scans(plan: &Plan, counts: &mut BTreeMap<ClassName, usize>) {
-    match plan {
-        Plan::Scan { class, .. } => *counts.entry(class.clone()).or_default() += 1,
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            count_scans(input, counts)
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            count_scans(left, counts);
-            count_scans(right, counts);
-        }
-    }
-}
-
 /// The per-class projection the ingest may apply: `Some(attrs)` when every
 /// use of the class's objects is an attribute projection, `None` (keep
 /// everything) when any expression uses an object whole — as a record value,
@@ -263,8 +240,12 @@ fn class_projections(
     let mut needed: BTreeMap<ClassName, BTreeSet<String>> = BTreeMap::new();
     let mut whole: BTreeSet<ClassName> = BTreeSet::new();
     for query in queries {
-        let mut var_class: BTreeMap<String, ClassName> = BTreeMap::new();
-        collect_scan_vars(&query.plan, &mut var_class);
+        let var_class: BTreeMap<String, ClassName> = query
+            .plan
+            .scans()
+            .into_iter()
+            .map(|(class, var)| (var.to_string(), class.clone()))
+            .collect();
         let mut record = |expr: &Expr| {
             record_expr_attrs(expr, &var_class, &mut needed, &mut whole);
         };
@@ -288,24 +269,6 @@ fn class_projections(
             (class.clone(), projection)
         })
         .collect()
-}
-
-/// Map each scan variable to its class.
-fn collect_scan_vars(plan: &Plan, out: &mut BTreeMap<String, ClassName>) {
-    match plan {
-        Plan::Scan { class, var } => {
-            out.insert(var.clone(), class.clone());
-        }
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            collect_scan_vars(input, out)
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            collect_scan_vars(left, out);
-            collect_scan_vars(right, out);
-        }
-    }
 }
 
 /// Walk an expression recording, per scanned class, the attributes projected

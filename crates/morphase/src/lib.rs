@@ -58,7 +58,7 @@ pub mod report;
 pub mod schedule;
 pub mod service;
 
-pub use compile::{compile_program, compile_program_pushdown, compile_program_with, PlanMode};
+pub use compile::{compile_program_pushdown, compile_program_with, PlanMode};
 pub use error::MorphaseError;
 pub use maintain::{BatchOutcome, BatchReport, MaintainMode, MaintainStats, MaterializedPipeline};
 pub use metadata::generate_key_clauses;

@@ -90,8 +90,8 @@ use wol_model::{
 };
 
 use crate::pipeline::{
-    compile_stages, verify_target_instance, BatchConstraintMode, DurableOptions, Morphase,
-    MorphaseRun, PipelineOptions,
+    compile_stages, execute_pipeline, fnv1a_fields, verify_target_instance, BatchConstraintMode,
+    DurableOptions, Morphase, MorphaseRun, PipelineOptions,
 };
 use crate::schedule::plan_schedule;
 use crate::{MorphaseError, Result};
@@ -527,8 +527,20 @@ fn peel_deferred(plan: &Plan) -> (Vec<Vec<(String, Expr)>>, &Plan) {
 }
 
 /// Analyse one query for incremental capability. `None` means the query
-/// defeats the analysis and forces [`MaintainMode::Rerun`].
-fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
+/// defeats the analysis and forces [`MaintainMode::Rerun`] — as does a
+/// query that reads a target class.
+fn analyze_query(
+    query: &Query,
+    schemas: &[&Schema],
+    target_classes: &BTreeSet<ClassName>,
+) -> Option<QueryAnalysis> {
+    let scans = query.plan.scans();
+    if scans
+        .iter()
+        .any(|(class, _)| target_classes.contains(*class))
+    {
+        return None;
+    }
     let trace = scan_order_trace(&query.plan)?;
     let (deferred, stripped) = peel_deferred(&query.plan);
     // Mints below a row-dropping operator would be invisible to the row
@@ -536,14 +548,14 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
     if stripped.expressions().iter().any(|e| e.contains_skolem()) {
         return None;
     }
-    let mut scan_classes: BTreeMap<String, ClassName> = BTreeMap::new();
-    collect_scans(&query.plan, &mut scan_classes);
+    let scan_classes: BTreeMap<&str, &ClassName> =
+        scans.into_iter().map(|(class, var)| (var, class)).collect();
     let slots: Vec<Slot> = trace
         .iter()
         .map(|var| {
             scan_classes
-                .get(var)
-                .map(|class| Slot::new(var.clone(), class.clone()))
+                .get(var.as_str())
+                .map(|&class| Slot::new(var.clone(), class.clone()))
         })
         .collect::<Option<_>>()?;
     let mut scan = DerefScan {
@@ -573,23 +585,6 @@ fn analyze_query(query: &Query, schemas: &[&Schema]) -> Option<QueryAnalysis> {
         foreign: scan.foreign,
         opaque: scan.opaque,
     })
-}
-
-fn collect_scans(plan: &Plan, out: &mut BTreeMap<String, ClassName>) {
-    match plan {
-        Plan::Scan { class, var } => {
-            out.insert(var.clone(), class.clone());
-        }
-        Plan::Filter { input, .. } | Plan::Map { input, .. } | Plan::Distinct { input } => {
-            collect_scans(input, out)
-        }
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::CrossJoin { left, right } => {
-            collect_scans(left, out);
-            collect_scans(right, out);
-        }
-    }
 }
 
 /// One cached row of one query's stripped plan.
@@ -929,39 +924,24 @@ fn build_state(
     exec: &mut ExecStats,
 ) -> Result<(CoreState, Vec<Clause>)> {
     let refs: Vec<&Instance> = sources.iter().collect();
-    let compiled = compile_stages(options, program, &refs)?;
-    let augmented = compiled.augmented;
+    let (compiled, _) = compile_stages(options, program, &refs, &[], None)?;
+    let augmented = &compiled.augmented;
     let constraints: Vec<Clause> = augmented
         .source_constraints()
         .into_iter()
         .map(|(_, c)| c.clone())
         .collect();
-    let queries = compiled.queries;
     let target_classes: BTreeSet<ClassName> =
         augmented.target.schema.class_names().into_iter().collect();
     let schemas: Vec<&Schema> = augmented.sources.iter().map(|b| &b.schema).collect();
-    let mut analyses = Vec::with_capacity(queries.len());
-    let mut capable = true;
-    for query in &queries {
-        if query
-            .plan
-            .scanned_classes()
-            .iter()
-            .any(|c| target_classes.contains(c))
-        {
-            capable = false;
-            break;
-        }
-        match analyze_query(query, &schemas) {
-            Some(a) => analyses.push(a),
-            None => {
-                capable = false;
-                break;
-            }
-        }
-    }
-    if !capable {
-        let run = Morphase::with_options(options).transform(program, &refs)?;
+    let analyses: Option<Vec<QueryAnalysis>> = compiled
+        .queries
+        .iter()
+        .map(|query| analyze_query(query, &schemas, &target_classes))
+        .collect();
+    let Some(analyses) = analyses else {
+        // Execute the pipeline already compiled above: a fresh run.
+        let run = execute_pipeline(options, compiled, &refs, true, None)?;
         exec.absorb(run.exec);
         return Ok((
             CoreState::Rerun {
@@ -969,7 +949,9 @@ fn build_state(
             },
             constraints,
         ));
-    }
+    };
+    let augmented = compiled.augmented;
+    let queries = compiled.queries;
     let schedule = plan_schedule(&queries);
     let order: Vec<usize> = schedule.stages.iter().flatten().copied().collect();
 
@@ -1230,24 +1212,11 @@ fn repair_incremental(
 /// The journal stores *source* data, so only the dataset-shaping inputs are
 /// hashed: program name, schema names, and clause count.
 fn maintenance_fingerprint(program: &Program) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash ^= 0xFF;
-        hash = hash.wrapping_mul(PRIME);
-    };
-    eat(b"maintenance");
-    eat(program.name.as_bytes());
-    eat(program.target.schema.name().as_bytes());
-    for binding in &program.sources {
-        eat(binding.schema.name().as_bytes());
-    }
-    eat(&(program.clauses.len() as u64).to_le_bytes());
-    hash
+    let clause_count = (program.clauses.len() as u64).to_le_bytes();
+    let names = ["maintenance", &program.name, program.target.schema.name()];
+    let sources = program.sources.iter().map(|b| b.schema.name());
+    let fields = names.into_iter().chain(sources).map(str::as_bytes);
+    fnv1a_fields(fields.chain([&clause_count[..]]))
 }
 
 /// A standing, incrementally maintained Morphase pipeline (see the module
@@ -2009,5 +1978,15 @@ mod tests {
         assert!(report.constraints.is_none());
         assert_eq!(pipeline.stats().constraints_checked, 0);
         assert_eq!(pipeline.stats().constraints_skipped, 0);
+    }
+
+    #[test]
+    fn maintenance_fingerprint_is_pinned() {
+        // Maintenance journals on disk are keyed by this value: it must
+        // never change for the same program.
+        assert_eq!(
+            maintenance_fingerprint(&genome::program()),
+            14_297_924_311_210_655_413
+        );
     }
 }

@@ -362,7 +362,7 @@ impl Morphase {
         execute: bool,
         durable: Option<&DurableOptions>,
     ) -> Result<MorphaseRun> {
-        let compiled = compile_stages(self.options, program, sources)?;
+        let (compiled, _) = compile_stages(self.options, program, sources, &[], None)?;
         execute_pipeline(self.options, compiled, sources, execute, durable)
     }
 }
@@ -443,17 +443,14 @@ pub(crate) fn execute_pipeline(
         let mut next_index: u64 = 0;
         let pool = WorkerPool::shared(options.parallelism);
         let overlap = options.parallelism.threads() > 1;
-        let record_joins =
-            |join_stats: &mut Vec<JoinStat>, qi: usize, actuals: &[cpl::exec::JoinActual]| {
-                join_stats.extend(join_estimates[qi].iter().zip(actuals.iter()).map(
-                    |(est, act)| JoinStat {
-                        query: queries[qi].name.clone(),
-                        kind: act.kind.to_string(),
-                        estimated: est.rows.round() as u64,
-                        actual: act.rows as u64,
-                    },
-                ));
-            };
+        type Evaluated = (
+            cpl::Result<cpl::EvaluatedQuery>,
+            ExecStats,
+            Vec<ExecStats>,
+            cpl::ColumnarStats,
+            Vec<cpl::exec::JoinActual>,
+            Duration,
+        );
         for (stage_index, stage) in schedule.stages.iter().enumerate() {
             // Durable resume: queries whose applied-order index falls
             // below the journal's completed count are already in the
@@ -478,22 +475,14 @@ pub(crate) fn execute_pipeline(
                 }
             }
             next_index += stage.len() as u64;
-            if overlap && live.len() > 1 {
-                // Claim phase: evaluate every query of the stage
-                // concurrently, each on its own claim context. The claim
-                // contexts keep the full worker budget, so a big query
-                // still runs operator-level morsels *inside* its slot —
-                // the shared pool bounds total concurrency either way —
-                // and its per-shard breakdown rolls back into the main
-                // context's view.
-                type Evaluated = (
-                    cpl::Result<cpl::EvaluatedQuery>,
-                    ExecStats,
-                    Vec<ExecStats>,
-                    cpl::ColumnarStats,
-                    Vec<cpl::exec::JoinActual>,
-                    Duration,
-                );
+            // Claim phase (multi-query stages only): evaluate every query of
+            // the stage concurrently, each on its own claim context. The
+            // claim contexts keep the full worker budget, so a big query
+            // still runs operator-level morsels *inside* its slot — the
+            // shared pool bounds total concurrency either way — and its
+            // per-shard breakdown rolls back into the main context's view.
+            let overlapped = overlap && live.len() > 1;
+            let claimed: Vec<Option<Evaluated>> = if overlapped {
                 let jobs: Vec<Job<'_, Evaluated>> = live
                     .iter()
                     .map(|&(qi, _)| {
@@ -516,66 +505,66 @@ pub(crate) fn execute_pipeline(
                         }) as Job<'_, Evaluated>
                     })
                     .collect();
-                let outcomes = pool.scope(jobs);
-                // Resolution phase: absorb stats and apply in program
-                // order; the earliest query's error propagates, exactly
-                // like the sequential loop.
-                for (&(qi, k), (result, wstats, shards, wcolumnar, actuals, eval)) in
-                    live.iter().zip(outcomes)
-                {
-                    exec.absorb(wstats);
-                    ctx.absorb_shard_stats(&shards);
-                    columnar.absorb(&wcolumnar);
-                    let query = &queries[qi];
-                    let evaluated = result?;
-                    let rows_output = evaluated.rows_output() as u64;
-                    let apply_start = Instant::now();
-                    let factory_before = journal.as_ref().map(|_| ctx.factory.counter_snapshot());
-                    apply_evaluated_query(query, evaluated, &mut ctx, &mut target, &mut exec)?;
-                    if let Some(j) = journal.as_mut() {
-                        let mutations = target.take_mutation_log();
-                        let assignments = ctx
-                            .factory
-                            .assignments_since(&factory_before.expect("taken before apply"));
-                        j.record_query(k, mutations, assignments, &target)?;
-                        durability.as_mut().expect("durable mode").journaled += 1;
-                    }
-                    record_joins(&mut join_stats, qi, &actuals);
-                    query_stats.push(QueryStat {
-                        query: query.name.clone(),
-                        stage: stage_index,
-                        overlapped: true,
-                        rows_output,
-                        eval,
-                        apply: apply_start.elapsed(),
-                    });
-                }
+                pool.scope(jobs).into_iter().map(Some).collect()
             } else {
-                for (qi, k) in live {
-                    let query = &queries[qi];
-                    let rows_before = exec.rows_output;
-                    let eval_start = Instant::now();
-                    let factory_before = journal.as_ref().map(|_| ctx.factory.counter_snapshot());
-                    execute_query(query, &mut ctx, &mut target, &mut exec)?;
-                    if let Some(j) = journal.as_mut() {
-                        let mutations = target.take_mutation_log();
-                        let assignments = ctx
-                            .factory
-                            .assignments_since(&factory_before.expect("taken before execute"));
-                        j.record_query(k, mutations, assignments, &target)?;
-                        durability.as_mut().expect("durable mode").journaled += 1;
+                live.iter().map(|_| None).collect()
+            };
+            // Apply in program order on the main context — claimed queries
+            // apply their evaluated rows (absorbing their stats first; the
+            // earliest query's error propagates, exactly like the sequential
+            // loop), the rest execute directly — then commit each query.
+            for (&(qi, k), claim) in live.iter().zip(claimed) {
+                let query = &queries[qi];
+                let started = Instant::now();
+                let factory_before = journal.as_ref().map(|_| ctx.factory.counter_snapshot());
+                let (rows_output, claim_eval, actuals) = match claim {
+                    Some((result, wstats, shards, wcolumnar, actuals, eval)) => {
+                        exec.absorb(wstats);
+                        ctx.absorb_shard_stats(&shards);
+                        columnar.absorb(&wcolumnar);
+                        let evaluated = result?;
+                        let rows_output = evaluated.rows_output() as u64;
+                        apply_evaluated_query(query, evaluated, &mut ctx, &mut target, &mut exec)?;
+                        (rows_output, Some(eval), actuals)
                     }
-                    let actuals = ctx.take_join_trace();
-                    record_joins(&mut join_stats, qi, &actuals);
-                    query_stats.push(QueryStat {
-                        query: query.name.clone(),
-                        stage: stage_index,
-                        overlapped: false,
-                        rows_output: (exec.rows_output - rows_before) as u64,
-                        eval: eval_start.elapsed(),
-                        apply: Duration::ZERO,
-                    });
+                    None => {
+                        let rows_before = exec.rows_output;
+                        execute_query(query, &mut ctx, &mut target, &mut exec)?;
+                        let rows_output = (exec.rows_output - rows_before) as u64;
+                        (rows_output, None, ctx.take_join_trace())
+                    }
+                };
+                if let Some(j) = journal.as_mut() {
+                    let mutations = target.take_mutation_log();
+                    let assignments = ctx
+                        .factory
+                        .assignments_since(&factory_before.expect("taken before apply"));
+                    j.record_query(k, mutations, assignments, &target)?;
+                    durability.as_mut().expect("durable mode").journaled += 1;
                 }
+                join_stats.extend(join_estimates[qi].iter().zip(&actuals).map(|(est, act)| {
+                    JoinStat {
+                        query: query.name.clone(),
+                        kind: act.kind.to_string(),
+                        estimated: est.rows.round() as u64,
+                        actual: act.rows as u64,
+                    }
+                }));
+                // A claimed query's eval ran on its claim context; what the
+                // main context spent is apply. A direct query's evaluation
+                // and application interleave, so all of it counts as eval.
+                let (eval, apply) = match claim_eval {
+                    Some(eval) => (eval, started.elapsed()),
+                    None => (started.elapsed(), Duration::ZERO),
+                };
+                query_stats.push(QueryStat {
+                    query: query.name.clone(),
+                    stage: stage_index,
+                    overlapped,
+                    rows_output,
+                    eval,
+                    apply,
+                });
             }
         }
         // Durable epilogue: fold the WAL into a final snapshot so the
@@ -626,7 +615,7 @@ pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> 
         &augmented.target.keys,
     )
     .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
-    let target_constraints: Vec<&wol_lang::Clause> = augmented
+    let target_constraints = augmented
         .target_constraints()
         .into_iter()
         .map(|(_, c)| c)
@@ -638,13 +627,21 @@ pub(crate) fn verify_target_instance(augmented: &Program, target: &Instance) -> 
                 wol_engine::classify_constraint(c),
                 wol_engine::ConstraintClass::SkolemKey(_)
             )
-        })
-        .collect();
-    let refs: Vec<&Instance> = vec![target];
-    let dbs = wol_engine::Databases::new(&refs);
-    wol_engine::enforce_constraints(&target_constraints, &dbs)
-        .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
-    Ok(())
+        });
+    enforce(target_constraints, &[target])
+}
+
+/// Check `constraints` against `instances`, reporting any violation as a
+/// [`crate::MorphaseError::Verification`]: the one enforcement step behind
+/// source-constraint checking (stage 1b and the federated post-ingest check)
+/// and target verification.
+pub(crate) fn enforce<'c>(
+    constraints: impl IntoIterator<Item = &'c wol_lang::Clause>,
+    instances: &[&Instance],
+) -> Result<()> {
+    let constraints: Vec<&wol_lang::Clause> = constraints.into_iter().collect();
+    wol_engine::enforce_constraints(&constraints, &wol_engine::Databases::new(instances))
+        .map_err(|e| crate::MorphaseError::Verification(e.to_string()))
 }
 
 /// The output of the pipeline's compile side (stages 0–4): the augmented
@@ -676,21 +673,13 @@ pub(crate) struct CompiledPipeline {
 
 /// Stages 0–4 of the pipeline: meta-data constraint generation, validation,
 /// optional source-constraint checking, snf rewriting, normalisation, and
-/// translation to CPL with statistics-fed planning.
+/// translation to CPL with statistics-fed planning. Federated runs pass
+/// `external` backend-provider statistics, which the planner consults before
+/// the live instances, and a pushdown `catalog`, which (when plan
+/// optimisation is on) switches stage 4 to the pushdown-aware planner and
+/// returns the predicates diverted per query; other runs pass `&[]` and
+/// `None` and get no predicates back.
 pub(crate) fn compile_stages(
-    options: PipelineOptions,
-    program: &Program,
-    sources: &[&Instance],
-) -> Result<CompiledPipeline> {
-    Ok(compile_stages_ext(options, program, sources, &[], None)?.0)
-}
-
-/// [`compile_stages`] with the federated extensions: `external` adds
-/// backend-provider statistics the planner consults before the live
-/// instances, and `catalog` (when given, and plan optimisation is on)
-/// switches stage 4 to the pushdown-aware planner, returning the predicates
-/// diverted per query.
-pub(crate) fn compile_stages_ext(
     options: PipelineOptions,
     program: &Program,
     sources: &[&Instance],
@@ -731,14 +720,10 @@ pub(crate) fn compile_stages_ext(
 
     // Stage 1b: source constraint checking (optional).
     if options.check_source_constraints && !sources.is_empty() {
-        let constraints: Vec<&wol_lang::Clause> = augmented
-            .source_constraints()
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect();
-        let dbs = wol_engine::Databases::new(sources);
-        wol_engine::enforce_constraints(&constraints, &dbs)
-            .map_err(|e| crate::MorphaseError::Verification(e.to_string()))?;
+        enforce(
+            augmented.source_constraints().into_iter().map(|(_, c)| c),
+            sources,
+        )?;
     }
 
     // Stage 2: semi-normal form.
@@ -819,24 +804,25 @@ fn program_fingerprint(
     queries: &[cpl::Query],
     plans: &[String],
 ) -> u64 {
+    let schemas = std::iter::once(target_schema).chain(sources.iter().map(|s| s.schema_name()));
+    let compiled = queries
+        .iter()
+        .zip(plans)
+        .flat_map(|(query, plan)| [query.name.as_str(), plan.as_str()]);
+    fnv1a_fields(schemas.chain(compiled).map(str::as_bytes))
+}
+
+/// 64-bit FNV-1a over a sequence of fields, each followed by a `0xFF`
+/// separator byte so concatenation ambiguities don't collide. Journals on
+/// disk are keyed by the values this produces, so it must never change.
+pub(crate) fn fnv1a_fields<'a>(fields: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    fn eat(hash: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(PRIME);
-        }
-        // Field separator so concatenation ambiguities don't collide.
-        *hash ^= 0xFF;
-        *hash = hash.wrapping_mul(PRIME);
-    }
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    eat(&mut hash, target_schema.as_bytes());
-    for source in sources {
-        eat(&mut hash, source.schema_name().as_bytes());
-    }
-    for (query, plan) in queries.iter().zip(plans) {
-        eat(&mut hash, query.name.as_bytes());
-        eat(&mut hash, plan.as_bytes());
+    for field in fields {
+        for &b in field.iter().chain(&[0xFF]) {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(PRIME);
+        }
     }
     hash
 }
@@ -1118,5 +1104,22 @@ mod tests {
             .compile(&wide::partial_program(8, 4, false))
             .unwrap();
         assert!(without_keys.normal.len() > with_keys.normal.len());
+    }
+
+    #[test]
+    fn program_fingerprint_is_pinned() {
+        // Durable journals on disk are keyed by this value: it must never
+        // change for the same compiled program.
+        let source = Instance::new("euro");
+        let query = cpl::Query {
+            name: "T1".to_string(),
+            plan: cpl::Plan::scan("CountryE", "E"),
+            inserts: Vec::new(),
+        };
+        let plans = vec![query.plan.render()];
+        assert_eq!(
+            program_fingerprint("target", &[&source], &[query], &plans),
+            7_138_191_241_630_167_645
+        );
     }
 }

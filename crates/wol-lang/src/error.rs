@@ -19,6 +19,14 @@ pub enum LangError {
         /// Description of the problem.
         message: String,
     },
+    /// A term nests deeper than the parser's limit
+    /// ([`crate::parser::MAX_TERM_DEPTH`]).
+    TooDeep {
+        /// Byte offset where the limit was exceeded.
+        offset: usize,
+        /// The nesting limit.
+        limit: usize,
+    },
     /// A clause is not well-typed.
     Type {
         /// Clause identifier (index or label) the error refers to.
@@ -47,6 +55,9 @@ impl fmt::Display for LangError {
             }
             LangError::Parse { offset, message } => {
                 write!(f, "parse error at byte {offset}: {message}")
+            }
+            LangError::TooDeep { offset, limit } => {
+                write!(f, "term nested deeper than {limit} levels at byte {offset}")
             }
             LangError::Type { clause, message } => {
                 write!(f, "type error in clause {clause}: {message}")

@@ -32,10 +32,19 @@ use crate::lexer::lex;
 use crate::token::{Spanned, Token};
 use crate::Result;
 
+/// How deeply terms may nest — parentheses, records, variants, Skolem
+/// arguments and attribute projections all count one level. The parser and
+/// every later pass over the syntax tree recurse once per level, so without
+/// a cap a hostile input (a few hundred kilobytes of `(`) overflows the
+/// stack instead of being rejected. The cap matches the persist codec's
+/// value-depth cap and keeps the deepest accepted Skolem nesting well inside
+/// a 2 MiB thread stack even in unoptimised builds.
+pub const MAX_TERM_DEPTH: usize = 128;
+
 /// Parse a whole program: a sequence of clauses terminated by `;`.
 pub fn parse_program(input: &str) -> Result<Vec<Clause>> {
     let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     let mut clauses = Vec::new();
     while !parser.at_eof() {
         clauses.push(parser.clause()?);
@@ -46,7 +55,7 @@ pub fn parse_program(input: &str) -> Result<Vec<Clause>> {
 /// Parse a single clause (the trailing `;` is optional).
 pub fn parse_clause(input: &str) -> Result<Clause> {
     let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     let clause = parser.clause_allow_missing_semi()?;
     if !parser.at_eof() {
         return Err(parser.error("unexpected trailing input after clause"));
@@ -57,9 +66,32 @@ pub fn parse_clause(input: &str) -> Result<Clause> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Nesting depth of the term being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Spanned>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enter one more level of term nesting, failing past
+    /// [`MAX_TERM_DEPTH`].
+    fn nest(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_TERM_DEPTH {
+            return Err(LangError::TooDeep {
+                offset: self.offset(),
+                limit: MAX_TERM_DEPTH,
+            });
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos].token
     }
@@ -198,11 +230,14 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Term> {
+        let outer = self.depth;
+        self.nest()?;
         let mut t = self.primary()?;
         while matches!(self.peek(), Token::Dot) {
             self.bump();
             match self.bump() {
                 Token::Ident(label) => {
+                    self.nest()?;
                     t = t.proj(label);
                 }
                 other => {
@@ -212,6 +247,7 @@ impl Parser {
                 }
             }
         }
+        self.depth = outer;
         Ok(t)
     }
 
@@ -573,5 +609,45 @@ mod tests {
                 Term::skolem("Singleton", Vec::<Term>::new())
             )
         );
+    }
+
+    /// `X = ((…(Y)…)) <= Y in C` with `depth` parentheses around `Y`.
+    fn nested_clause(depth: usize) -> String {
+        format!("X = {}Y{} <= Y in C", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let input = nested_clause(200_000);
+        match parse_clause(&input) {
+            Err(LangError::TooDeep { offset, limit }) => {
+                assert_eq!(limit, MAX_TERM_DEPTH);
+                // The term opened by parenthesis number `limit + 1` (the
+                // first one sits at byte 4) is one level too deep.
+                assert_eq!(offset, 4 + MAX_TERM_DEPTH);
+            }
+            other => panic!("expected a nesting-depth error, got {other:?}"),
+        }
+        // Records, variants, Skolem arguments and projections nest too.
+        for (open, close) in [("(a = ", ")"), ("ins_a(", ")"), ("Mk_C(", ")")] {
+            let term = format!("{}Y{}", open.repeat(100_000), close.repeat(100_000));
+            let err = parse_clause(&format!("X = {term} <= Y in C")).unwrap_err();
+            assert!(matches!(err, LangError::TooDeep { .. }), "{open}: {err}");
+        }
+        let chain = format!("X = Y{} <= Y in C", ".a".repeat(100_000));
+        assert!(matches!(
+            parse_clause(&chain),
+            Err(LangError::TooDeep { .. })
+        ));
+    }
+
+    #[test]
+    fn nesting_within_the_limit_parses() {
+        let c = parse_clause(&nested_clause(64)).unwrap();
+        assert_eq!(c.head[0], Atom::Eq(Term::var("X"), Term::var("Y")));
+        // `MAX_TERM_DEPTH - 1` parentheses plus the variable inside them
+        // fill the limit exactly.
+        assert!(parse_clause(&nested_clause(MAX_TERM_DEPTH - 1)).is_ok());
+        assert!(parse_clause(&nested_clause(MAX_TERM_DEPTH)).is_err());
     }
 }

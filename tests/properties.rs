@@ -176,6 +176,36 @@ fn skew_chain_raw_plan(k: usize, rotation: usize) -> Plan {
     plan
 }
 
+/// A `MarkerS ⋈ ProbeS` hash join on `clone_name` whose two sides are both
+/// filtered, so neither side is a bare scan the executor could answer with
+/// index probes and the generic partitioned hash join runs; paired with
+/// the raw nested-loop plan it must agree with.
+fn filtered_hash_join_plans() -> (Plan, Plan) {
+    let bin_cut = Expr::Leq(
+        Box::new(Expr::var("V0").proj("bin")),
+        Box::new(Expr::Const(Value::int(1))),
+    );
+    let lane_cut = Expr::Leq(
+        Box::new(Expr::var("V1").proj("lane")),
+        Box::new(Expr::Const(Value::int(1))),
+    );
+    let (left_key, right_key) = (
+        Expr::var("V0").proj("clone_name"),
+        Expr::var("V1").proj("clone_name"),
+    );
+    let hash_join = Plan::scan("MarkerS", "V0")
+        .filter(bin_cut.clone())
+        .hash_join(
+            Plan::scan("ProbeS", "V1").filter(lane_cut.clone()),
+            left_key.clone(),
+            right_key.clone(),
+        );
+    let raw = Plan::scan("MarkerS", "V0")
+        .join(Plan::scan("ProbeS", "V1"), None)
+        .filter(Expr::and(vec![bin_cut, lane_cut, left_key.eq(right_key)]));
+    (hash_join, raw)
+}
+
 /// Run a plan and return its sorted row multiset.
 fn sorted_rows(plan: &Plan, refs: &[&wol_repro::wol_model::Instance]) -> Vec<cpl::Row> {
     let mut ctx = cpl::expr::EvalCtx::new(refs).with_parallelism(cpl::Parallelism::sequential());
@@ -413,11 +443,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The join-graph planner (with live statistics) and the legacy
-    /// rule-based rewriter both produce exactly the raw plan's row multiset,
-    /// for every scan order of 2-5 scans over generated instances.
+    /// The join-graph planner (with live statistics) produces exactly the
+    /// raw plan's row multiset, for every scan order of 2-5 scans over
+    /// generated instances.
     #[test]
-    fn planner_and_reference_preserve_raw_row_multisets(
+    fn planner_preserves_raw_row_multisets(
         k in 2usize..6,
         rotation in 0usize..6,
         countries in 1usize..4,
@@ -431,8 +461,6 @@ proptest! {
         let expected = sorted_rows(&raw, &refs[..]);
         let planned = cpl::optimize_with_stats(raw.clone(), &stats);
         prop_assert_eq!(&sorted_rows(&planned, &refs[..]), &expected);
-        let reference = cpl::optimize_reference(raw.clone());
-        prop_assert_eq!(&sorted_rows(&reference, &refs[..]), &expected);
         // The planner never leaves a product behind on this connected graph.
         let rendered = planned.render();
         prop_assert!(!rendered.contains("CrossJoin") && !rendered.contains("NestedLoopJoin"),
@@ -441,10 +469,10 @@ proptest! {
 
     /// The histogram-driven planner is differentially verified, not just
     /// benchmarked: over zipfian-skewed instances, for every scan order of
-    /// 2-5 scans, planning with histogram statistics, planning with flat
-    /// `1/ndv` statistics, and the legacy rule-based rewriter all produce
-    /// exactly the raw plan's row multiset — and the planner leaves no
-    /// product behind on these connected graphs under either cost model.
+    /// 2-5 scans, planning with histogram statistics and planning with flat
+    /// `1/ndv` statistics both produce exactly the raw plan's row multiset —
+    /// and the planner leaves no product behind on these connected graphs
+    /// under either cost model.
     #[test]
     fn histogram_and_flat_planners_preserve_raw_row_multisets_on_skew(
         k in 2usize..6,
@@ -475,17 +503,18 @@ proptest! {
             prop_assert!(!rendered.contains("CrossJoin") && !rendered.contains("NestedLoopJoin"),
                 "a product survived planning under {:?}:\n{}", cost_model, rendered);
         }
-        let reference = cpl::optimize_reference(raw.clone());
-        prop_assert_eq!(&sorted_rows(&reference, &refs[..]), &expected);
     }
 
     /// The thread-matrix differential: over zipf-skewed E7-style instances,
     /// parallel execution at every thread count in {1, 2, 4, 8} produces the
     /// *identical row stream and target instance* as the sequential executor
-    /// — for the cost-based plan under both cost models *and* for the legacy
-    /// `optimize_reference` plan — and the row multiset always equals the raw
-    /// plan's. Identity numbering in the target depends on row order, so
-    /// target equality here proves parallel row order is exactly sequential.
+    /// — for the cost-based plan under both cost models, for the raw plan
+    /// itself (nested-loop products, filters and a map), and for a
+    /// hand-built hash join whose two sides are both filtered, so neither
+    /// side is index-probed and the generic partitioned hash join runs — and
+    /// the row multiset always equals the raw plan's. Identity numbering in
+    /// the target depends on row order, so target equality here proves
+    /// parallel row order is exactly sequential.
     #[test]
     fn parallel_execution_is_deterministic_across_the_thread_matrix(
         k in 2usize..5,
@@ -508,23 +537,29 @@ proptest! {
         let refs = [&source];
         let raw = skew_chain_raw_plan(k, rotation % k);
         let raw_multiset = sorted_rows(&raw, &refs[..]);
-        let reference = cpl::optimize_reference(raw.clone());
+        let mut plans = vec![raw.clone()];
         for cost_model in [cpl::CostModel::Histogram, cpl::CostModel::FlatNdv] {
             let stats = cpl::Statistics::from_instances(&refs[..]).with_cost_model(cost_model);
-            let planned = cpl::optimize_with_stats(raw.clone(), &stats);
-            for plan in [&planned, &reference] {
-                let (base_rows, base_target) = run_query_with_threads(plan, &refs[..], 1);
-                for threads in [2usize, 4, 8] {
-                    let (rows, target) = run_query_with_threads(plan, &refs[..], threads);
-                    // Divergence at any thread count under either cost model
-                    // is a determinism bug.
-                    prop_assert_eq!(&rows, &base_rows);
-                    prop_assert_eq!(&target, &base_target);
-                }
-                let mut multiset = base_rows;
-                multiset.sort();
-                prop_assert_eq!(&multiset, &raw_multiset);
+            plans.push(cpl::optimize_with_stats(raw.clone(), &stats));
+        }
+        let (hash_join, hash_join_raw) = filtered_hash_join_plans();
+        let hash_join_multiset = sorted_rows(&hash_join_raw, &refs[..]);
+        let cases = plans
+            .iter()
+            .map(|plan| (plan, &raw_multiset))
+            .chain([(&hash_join, &hash_join_multiset)]);
+        for (plan, expected) in cases {
+            let (base_rows, base_target) = run_query_with_threads(plan, &refs[..], 1);
+            for threads in [2usize, 4, 8] {
+                let (rows, target) = run_query_with_threads(plan, &refs[..], threads);
+                // Divergence at any thread count for any plan shape is a
+                // determinism bug.
+                prop_assert_eq!(&rows, &base_rows);
+                prop_assert_eq!(&target, &base_target);
             }
+            let mut multiset = base_rows;
+            multiset.sort();
+            prop_assert_eq!(&multiset, expected);
         }
     }
 
